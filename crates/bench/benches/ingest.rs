@@ -577,20 +577,20 @@ fn main() {
         bench.extra("telemetry_overhead_target_pct", Json::Float(5.0));
     }
 
-    // Checkpoint compression: v2 flow-block shards versus v1 JSON
-    // shards, written by the real checkpoint path from the same engine
-    // state. Flow k of a Zipf population carries max(1, 2000/(k+1))
+    // Checkpoint compression: v2 flow-block shards, written by the
+    // real checkpoint path, versus the JSON text of the same sorted
+    // `[flow, state]` pairs (the content of the read-only v1 shard
+    // format). Flow k of a Zipf population carries max(1, 2000/(k+1))
     // distinct items, so the shards hold the realistic tier mix — a
     // few materialized estimators, an array-tier middle, a long
     // inline-tier tail — rather than a uniform best case for either
     // format. Byte counts are deterministic (one-shot measurement);
     // the encode/decode throughput of the wire snapshot block is timed
     // over repeated passes on the 100k-flow state. verify.sh gates
-    // `checkpoint_v2_over_json_100k` at <= 0.5: the compressed format
-    // must at least halve the checkpoint, or it isn't earning its
-    // second on-disk format.
+    // `checkpoint_v2_over_json_100k` at <= 0.5: the binary format must
+    // at least halve the JSON text of the same state.
     {
-        use smb_engine::{CheckpointConfig, CheckpointFormat};
+        use smb_engine::CheckpointConfig;
         use smb_sketch::codec::{decode_flow_block, encode_flow_block};
         use std::fs;
 
@@ -606,7 +606,7 @@ fn main() {
             total
         };
 
-        eprintln!("\n== checkpoint compression (v1 JSON vs v2 flow blocks) ==");
+        eprintln!("\n== checkpoint compression (JSON pairs vs v2 flow blocks) ==");
         for &flows in &[1_000usize, 100_000] {
             let mut engine = ShardedFlowEngine::new(
                 EngineConfig::new(spec()).with_shards(2).with_batch(1024),
@@ -621,25 +621,27 @@ fn main() {
             }
             engine.flush();
 
-            let base = std::env::temp_dir()
+            let dir = std::env::temp_dir()
                 .join(format!("smb-bench-ckpt-{}-{flows}", std::process::id()));
-            let _ = fs::remove_dir_all(&base);
-            let mut bytes = [0u64; 2];
-            let formats = [CheckpointFormat::V1Json, CheckpointFormat::V2Binary];
-            for (slot, format) in formats.into_iter().enumerate() {
-                let dir = base.join(if slot == 0 { "v1" } else { "v2" });
-                engine
-                    .checkpoint_now(&CheckpointConfig::new(&dir).with_format(format))
-                    .expect("checkpoint");
-                bytes[slot] = shard_bytes(&dir);
-            }
-            let _ = fs::remove_dir_all(&base);
-            let [json_bytes, v2_bytes] = bytes;
+            let _ = fs::remove_dir_all(&dir);
+            engine
+                .checkpoint_now(&CheckpointConfig::new(&dir))
+                .expect("checkpoint");
+            let v2_bytes = shard_bytes(&dir);
+            let _ = fs::remove_dir_all(&dir);
+            let pairs = engine
+                .query_handle()
+                .snapshot_cells()
+                .expect("snapshot cells")
+                .into_iter()
+                .map(|(flow, state)| Json::Arr(vec![Json::Int(flow as i128), state]))
+                .collect();
+            let json_bytes = Json::Arr(pairs).to_string().len() as u64;
             assert!(json_bytes > 0 && v2_bytes > 0, "checkpoints wrote no shards");
             let ratio = v2_bytes as f64 / json_bytes as f64;
             let suffix = if flows >= 100_000 { "100k" } else { "1k" };
             eprintln!(
-                "  {flows} flows: v1 JSON {json_bytes} B ({:.1} B/flow) vs \
+                "  {flows} flows: JSON {json_bytes} B ({:.1} B/flow) vs \
                  v2 {v2_bytes} B ({:.1} B/flow) => {ratio:.3}x (gate <= 0.5 at 100k)",
                 json_bytes as f64 / flows as f64,
                 v2_bytes as f64 / flows as f64,

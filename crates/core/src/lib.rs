@@ -11,10 +11,6 @@
 //!   estimator applied inside each SMB round;
 //! * [`SampledBitmap`] — a bitmap recording under a fixed sampling
 //!   probability, the building block of the Adaptive Bitmap baseline;
-//! * [`ConcurrentSmb`] — the lock-free multi-producer SMB: the same
-//!   algorithm over an [`AtomicBitVec`] substrate with the `(r, v)`
-//!   morph state packed into one CAS word, recordable through `&self`
-//!   from any number of threads (DESIGN.md §12);
 //! * [`CardinalityEstimator`] — the trait shared by every estimator in
 //!   the workspace, which lets downstream sketches treat estimators as
 //!   plug-ins (the paper's §II-C);
@@ -30,20 +26,16 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod atomic_bits;
 pub mod bitmap;
 pub mod bits;
-pub mod concurrent;
 pub mod error;
 pub mod observe;
 pub mod sampled;
 pub mod smb;
 pub mod traits;
 
-pub use atomic_bits::AtomicBitVec;
 pub use bitmap::Bitmap;
 pub use bits::BitVec;
-pub use concurrent::ConcurrentSmb;
 pub use error::{Error, Result};
 pub use observe::{EstimatorEvent, MorphCollector, MorphEvent, ObserverHandle, SmbObserver};
 pub use sampled::SampledBitmap;

@@ -114,7 +114,7 @@ impl Smb {
     pub fn with_scheme(m: usize, t: usize, scheme: HashScheme) -> Result<Self> {
         validate_params(m, t)?;
         let max_rounds = (m / t) as u32;
-        let s_table = Self::build_s_table(m, t, max_rounds);
+        let s_table = build_s_table(m, t, max_rounds);
         Ok(Smb {
             bits: BitVec::new(m),
             m,
@@ -134,12 +134,6 @@ impl Smb {
     /// Start building an SMB by memory budget and expected stream size.
     pub fn builder() -> SmbBuilder {
         SmbBuilder::default()
-    }
-
-    /// Precompute `S[i] = Σ_{j<i} −2ʲ·m·ln(1 − T/m_j)` (Eq. 9), the
-    /// cumulative estimate of closed rounds.
-    fn build_s_table(m: usize, t: usize, max_rounds: u32) -> Vec<f64> {
-        build_s_table(m, t, max_rounds)
     }
 
     /// Current round index `r`. The sampling probability is `2⁻ʳ`.
@@ -449,10 +443,8 @@ impl CardinalityEstimator for Smb {
     }
 }
 
-/// Validate the paper's `(m, T)` constraints, shared by [`Smb`] and
-/// [`crate::ConcurrentSmb`] so both accept exactly the same parameter
-/// space.
-pub(crate) fn validate_params(m: usize, t: usize) -> Result<()> {
+/// Validate the paper's `(m, T)` constraints.
+fn validate_params(m: usize, t: usize) -> Result<()> {
     if m == 0 || m > u32::MAX as usize {
         return Err(Error::invalid("m", "must be in 1..=u32::MAX"));
     }
@@ -469,10 +461,8 @@ pub(crate) fn validate_params(m: usize, t: usize) -> Result<()> {
 }
 
 /// Precompute `S[i] = Σ_{j<i} −2ʲ·m·ln(1 − T/m_j)` (Eq. 9), the
-/// cumulative estimate of all closed rounds before round `i` —
-/// shared by [`Smb`] and [`crate::ConcurrentSmb`] so the two
-/// estimators evaluate the same query formula from the same table.
-pub(crate) fn build_s_table(m: usize, t: usize, max_rounds: u32) -> Vec<f64> {
+/// cumulative estimate of all closed rounds before round `i`.
+fn build_s_table(m: usize, t: usize, max_rounds: u32) -> Vec<f64> {
     let mut s = Vec::with_capacity(max_rounds as usize);
     let mut acc = 0.0f64;
     for i in 0..max_rounds {

@@ -98,7 +98,7 @@ pub trait CardinalityEstimator {
     /// `None` from a factory-built estimator never happens. The
     /// restore direction is deliberately *not* on this trait: rebuilding
     /// a concrete type from JSON needs the concrete type, which is
-    /// `smb_factory::restore_estimator`'s job.
+    /// `smb_factory::ResolvedSpec::restore`'s job.
     ///
     /// Only available with the `snapshot` feature (the same feature
     /// that gates the `Snapshot` impls themselves).

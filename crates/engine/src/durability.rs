@@ -12,19 +12,18 @@
 //!     ...
 //! ```
 //!
-//! Two shard formats exist, selected by [`CheckpointFormat`]:
+//! New epochs are always written in the **v2** shard format:
+//! `shard-%04d.bin`, the compressed binary flow-block format of
+//! [`smb_sketch::codec`] (varint + zigzag delta hash lists, bit-packed
+//! bitmaps; see `PROTOCOL.md` §5).
 //!
-//! * **v2 (default)** — `shard-%04d.bin`, the compressed binary
-//!   flow-block format of [`smb_sketch::codec`] (varint + zigzag delta
-//!   hash lists, bit-packed bitmaps; see `PROTOCOL.md` §5). Typically
-//!   well under half the JSON byte size.
-//! * **v1** — `shard-%04d.json`, `[flow, state]` pairs as JSON. Every
-//!   epoch written before the v2 format existed is v1, and v1 epochs
-//!   restore forever: the manifest records which format an epoch uses
-//!   (`"format"`, absent meaning v1) and the reader dispatches per
-//!   epoch — both formats decode to the *same* canonical JSON states,
-//!   so the entire restore/validation path below is shared and
-//!   restores are bit-identical across formats.
+//! The older **v1** format — `shard-%04d.json`, `[flow, state]` pairs
+//! as JSON — is read-only: nothing writes it any more, but v1 epochs
+//! restore forever. The manifest records which format an epoch uses
+//! (`"format"`, absent meaning v1) and the reader dispatches per
+//! epoch. Both formats decode to the *same* canonical JSON states, so
+//! the entire restore/validation path below is shared and restores are
+//! bit-identical across formats.
 //!
 //! Every file is written atomically (write to a `.tmp` sibling, fsync,
 //! rename into place) and the manifest is written **after** all shard
@@ -40,10 +39,10 @@
 //! walks epochs newest-first, accepting the first one that is fully
 //! *consistent*: manifest present, both checksums clean, every shard
 //! file present with the recorded length and CRC, every state
-//! restorable through `smb_factory::restore_estimator` (which re-checks
-//! each estimator's structural invariants). Inconsistent newer epochs
-//! are skipped — degraded recovery to an older epoch, with the skips
-//! reported in [`RestoreReport::skipped`] and counted in
+//! restorable through `smb_factory::ResolvedSpec::restore` (which
+//! re-checks each estimator's structural invariants). Inconsistent
+//! newer epochs are skipped — degraded recovery to an older epoch, with
+//! the skips reported in [`RestoreReport::skipped`] and counted in
 //! `engine_restore_skipped_epochs_total`. The loss is bounded by the
 //! checkpoint interval: at most `interval × skipped-epochs + interval`
 //! of ingest is missing relative to the crash point.
@@ -59,7 +58,7 @@ use std::time::{Duration, Instant};
 
 use smb_core::Error;
 use smb_devtools::{Json, Snapshot};
-use smb_factory::{AlgoSpec, DynEstimator};
+use smb_factory::{AlgoSpec, DynEstimator, ResolvedSpec};
 use smb_hash::crc32::crc32;
 use smb_sketch::{FlowCell, FlowStore as _};
 use smb_telemetry::{
@@ -70,18 +69,16 @@ use crate::engine::ShardTable;
 
 /// Rebuild one flow's cell from its checkpointed state. Tier-tagged
 /// states become unmaterialized small/array cells; anything else goes
-/// through [`smb_factory::restore_estimator`] into a full cell — which
-/// also covers pre-tier checkpoints, where every state was a bare
-/// estimator snapshot.
+/// through [`ResolvedSpec::restore`] into a full cell — which also
+/// covers pre-tier checkpoints, where every state was a bare estimator
+/// snapshot.
 pub(crate) fn restore_cell(
-    spec: AlgoSpec,
+    spec: &ResolvedSpec,
     state: &Json,
 ) -> smb_core::Result<FlowCell<DynEstimator>> {
     match FlowCell::<DynEstimator>::from_tier_json(state) {
         Ok(Some(cell)) => Ok(cell),
-        Ok(None) => Ok(FlowCell::from_estimator(smb_factory::restore_estimator(
-            spec, state,
-        )?)),
+        Ok(None) => Ok(FlowCell::from_estimator(spec.restore(state)?)),
         Err(e) => Err(Error::invalid("cell", e.to_string())),
     }
 }
@@ -89,30 +86,22 @@ pub(crate) fn restore_cell(
 /// File name of the per-epoch commit record.
 const MANIFEST: &str = "MANIFEST.json";
 
-/// Which shard-file format new checkpoints are written in. Restore is
-/// format-agnostic: the manifest records each epoch's format and the
-/// reader dispatches per epoch, so changing this knob never strands an
-/// existing checkpoint history.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CheckpointFormat {
+/// The shard-file format an epoch's manifest records. Only the reader
+/// distinguishes formats: every new epoch is written as v2.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CheckpointFormat {
     /// `shard-%04d.json` — `[flow, state]` pairs as JSON text. The
-    /// pre-v2 format; diffable, but several times larger on disk.
+    /// pre-v2 format, read-only.
     V1Json,
     /// `shard-%04d.bin` — the compressed binary flow-block format of
     /// [`smb_sketch::codec`] (specified in `PROTOCOL.md` §5).
-    #[default]
     V2Binary,
 }
 
-impl CheckpointFormat {
-    /// The `"format"` code the manifest records (1 or 2).
-    pub fn code(self) -> u64 {
-        match self {
-            CheckpointFormat::V1Json => 1,
-            CheckpointFormat::V2Binary => 2,
-        }
-    }
+/// The manifest `"format"` code of a v2 epoch.
+const FORMAT_V2_CODE: i128 = 2;
 
+impl CheckpointFormat {
     fn from_code(code: u64) -> Result<Self, String> {
         match code {
             1 => Ok(CheckpointFormat::V1Json),
@@ -146,8 +135,6 @@ pub struct CheckpointConfig {
     /// successful checkpoint. At least 2 is recommended so recovery can
     /// fall back across a torn newest epoch.
     pub keep_epochs: usize,
-    /// Shard-file format for *new* epochs (restore reads both).
-    pub format: CheckpointFormat,
 }
 
 impl CheckpointConfig {
@@ -160,7 +147,6 @@ impl CheckpointConfig {
             retries: 3,
             backoff: Duration::from_millis(200),
             keep_epochs: 2,
-            format: CheckpointFormat::default(),
         }
     }
 
@@ -185,12 +171,6 @@ impl CheckpointConfig {
     /// Set how many completed epochs stay on disk.
     pub fn with_keep_epochs(mut self, keep_epochs: usize) -> Self {
         self.keep_epochs = keep_epochs;
-        self
-    }
-
-    /// Set the shard-file format for new epochs.
-    pub fn with_format(mut self, format: CheckpointFormat) -> Self {
-        self.format = format;
         self
     }
 
@@ -335,11 +315,10 @@ fn sync_dir(path: &Path) {
 
 /// Snapshot one shard's flow table as `(flow, state)` pairs sorted by
 /// flow key, so a given table always produces identical bytes (and
-/// therefore an identical CRC) in either shard format. Each cell
-/// serializes its own tier — unmaterialized cells as a
-/// `{"tier", "hashes"}` wrapper, full cells as the estimator's bare
-/// state (byte-identical to pre-tier checkpoints, so old epochs keep
-/// restoring).
+/// therefore an identical CRC). Each cell serializes its own tier —
+/// unmaterialized cells as a `{"tier", "hashes"}` wrapper, full cells
+/// as the estimator's bare state (byte-identical to pre-tier
+/// checkpoints, so old epochs keep restoring).
 pub(crate) fn shard_flows(table: &ShardTable) -> smb_core::Result<Vec<(u64, Json)>> {
     let mut flows: Vec<(u64, Json)> = Vec::with_capacity(table.len());
     for (flow, state) in table.snapshot_cells() {
@@ -353,36 +332,6 @@ pub(crate) fn shard_flows(table: &ShardTable) -> smb_core::Result<Vec<(u64, Json
     }
     flows.sort_unstable_by_key(|&(flow, _)| flow);
     Ok(flows)
-}
-
-/// Serialize a shard's sorted flows in the chosen format: the v1 JSON
-/// document or the v2 compressed flow block.
-pub(crate) fn encode_shard(
-    format: CheckpointFormat,
-    shard: usize,
-    flows: Vec<(u64, Json)>,
-) -> smb_core::Result<Vec<u8>> {
-    match format {
-        CheckpointFormat::V1Json => {
-            let json = Json::Obj(vec![
-                ("shard".into(), Json::Int(shard as i128)),
-                (
-                    "flows".into(),
-                    Json::Arr(
-                        flows
-                            .into_iter()
-                            .map(|(flow, state)| {
-                                Json::Arr(vec![Json::Int(flow as i128), state])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]);
-            Ok(json.to_string().into_bytes())
-        }
-        CheckpointFormat::V2Binary => smb_sketch::codec::encode_flow_block(&flows)
-            .map_err(|e| Error::invalid("shard", e.to_string())),
-    }
 }
 
 /// Write epoch `epoch`: every shard file, then the manifest as the
@@ -404,8 +353,9 @@ pub(crate) fn write_checkpoint(
             let table = table.lock().expect("shard table lock");
             shard_flows(&table)?
         };
-        let bytes = encode_shard(config.format, shard, flows)?;
-        let name = config.format.shard_file_name(shard);
+        let bytes = smb_sketch::codec::encode_flow_block(&flows)
+            .map_err(|e| Error::invalid("shard", e.to_string()))?;
+        let name = CheckpointFormat::V2Binary.shard_file_name(shard);
         write_atomic(&edir.join(&name), &bytes)?;
         files.push(Json::Obj(vec![
             ("name".into(), Json::Str(name)),
@@ -416,7 +366,7 @@ pub(crate) fn write_checkpoint(
     }
     let body = Json::Obj(vec![
         ("epoch".into(), Json::Int(epoch as i128)),
-        ("format".into(), Json::Int(config.format.code() as i128)),
+        ("format".into(), Json::Int(FORMAT_V2_CODE)),
         ("spec".into(), spec.to_json()),
         ("shards".into(), Json::Int(tables.len() as i128)),
         ("files".into(), Json::Arr(files)),

@@ -35,7 +35,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use smb_core::{CardinalityEstimator, EstimatorEvent, ObserverHandle, SmbObserver as _};
-use smb_factory::{AlgoSpec, DynEstimator};
+use smb_factory::{AlgoSpec, DynEstimator, ResolvedSpec};
 use smb_hash::{mix, HashScheme, ItemHash};
 use smb_sketch::{FlowStore, FlowTable, TierStats};
 use smb_telemetry::{
@@ -383,8 +383,7 @@ fn top_k_in_place(all: &mut Vec<(u64, f64)>, k: usize) {
 /// convenience [`ShardedFlowEngine::run_query`]); every requested
 /// facet is answered from a single pass that locks each shard exactly
 /// once, so one query costs one sweep no matter how many facets it
-/// asks for. This is the one aggregate query surface — it subsumes
-/// the former `snapshot_top_k` and the per-table `flows_over`.
+/// asks for. This is the one aggregate query surface.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EngineQuery {
     /// Estimate this flow's cardinality.
@@ -800,17 +799,22 @@ impl ShardedFlowEngine {
     /// batch boundary, so per-event cost is a thread-local write, not
     /// an atomic RMW.
     pub fn new(config: EngineConfig) -> smb_core::Result<Self> {
-        // Probe the spec once so errors surface here, not in a worker.
-        config.spec.build()?;
-        let spec = config.spec;
+        // Resolving validates the spec, so errors surface here, not in
+        // a worker.
+        let spec = config.spec.resolve()?;
+        Self::with_resolved(config, spec)
+    }
+
+    /// [`ShardedFlowEngine::new`] over an already resolved
+    /// `config.spec`: every promotion, query probe and restored flow
+    /// builds from `spec` without re-running the threshold search.
+    fn with_resolved(config: EngineConfig, spec: ResolvedSpec) -> smb_core::Result<Self> {
         let registry = Arc::new(Registry::new("smb_engine"));
         let telemetry = EngineTelemetry::register(&registry);
         let observer = telemetry.handle.clone();
-        let factory: Arc<EstimatorFactory> = Arc::new(move |_flow| {
-            spec.build_observed(Some(observer.clone()))
-                .expect("spec validated at engine construction")
-        });
-        Self::build(config, spec.scheme(), factory, registry, Some(telemetry))
+        let factory: Arc<EstimatorFactory> =
+            Arc::new(move |_flow| spec.build_observed(Some(observer.clone())));
+        Self::build(config, config.spec.scheme(), factory, registry, Some(telemetry))
     }
 
     /// Spawn an engine with a custom estimator factory. `scheme` must
@@ -1145,18 +1149,6 @@ impl ShardedFlowEngine {
         self.query_handle().run(query)
     }
 
-    /// The `k` flows with the largest estimates, descending.
-    #[deprecated(
-        note = "run an EngineQuery instead: \
-                engine.run_query(&EngineQuery::new().with_top_k(k))"
-    )]
-    #[doc(hidden)]
-    pub fn snapshot_top_k(&self, k: usize) -> Vec<(u64, f64)> {
-        self.run_query(&EngineQuery::new().with_top_k(k))
-            .top_k
-            .expect("top_k facet was requested")
-    }
-
     /// Every `(flow, estimate)` pair across all shards, in unspecified
     /// order.
     pub fn all_estimates(&self) -> Vec<(u64, f64)> {
@@ -1390,7 +1382,8 @@ impl ShardedFlowEngine {
         loaded: LoadedEpoch,
         mut report: RestoreReport,
     ) -> smb_core::Result<(Self, RestoreReport)> {
-        let engine = Self::new(config)?;
+        let spec = config.spec.resolve()?;
+        let engine = Self::with_resolved(config, spec)?;
         // Reattach the engine's own observer bundle (batched metrics +
         // flight recorder) to every restored estimator, so
         // morph/saturation events keep flowing after recovery exactly
@@ -1401,10 +1394,10 @@ impl ShardedFlowEngine {
             .telemetry
             .as_ref()
             .map(|t| t.handle.clone())
-            .expect("Self::new always builds the telemetry bundle");
+            .expect("with_resolved always builds the telemetry bundle");
         let mut flows = 0u64;
         for (flow, state) in &loaded.flows {
-            let mut cell = crate::durability::restore_cell(config.spec, state)?;
+            let mut cell = crate::durability::restore_cell(&spec, state)?;
             if let Some(estimator) = cell.estimator_mut() {
                 estimator.set_observer(Some(observer.clone()));
             }
@@ -2295,10 +2288,6 @@ mod tests {
         assert_eq!(all.len(), 30);
         assert_eq!(&all[..10], &top[..]);
         assert!(top_k(0).is_empty());
-        // The deprecated shim answers identically, one release.
-        #[allow(deprecated)]
-        let shim = engine.snapshot_top_k(10);
-        assert_eq!(shim, top);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use smb_engine::{CheckpointConfig, CheckpointFormat, EngineConfig, ShardedFlowEngine};
+use smb_engine::{CheckpointConfig, EngineConfig, ShardedFlowEngine};
 use smb_factory::{Algo, AlgoSpec};
 
 fn spec() -> AlgoSpec {
@@ -353,58 +353,71 @@ fn mixed_tier_checkpoint_repartitions_across_shard_counts() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// The same engine state checkpointed in both shard formats restores
-/// bit-identically from either: per-flow estimate bits, tier census,
-/// and continued ingest all agree. This is the cross-format guarantee
-/// the codec's "lossless JSON transcoder" design buys.
+/// A copy of the committed v1 fixture — one epoch in the read-only v1
+/// JSON shard format, written by the last release that could write v1:
+/// 2 shards holding [`ingest_tier_mix`] under [`spec`], so 60 small,
+/// 20 array and 10 full cells. Tests get a private copy to damage or
+/// extend; the fixture itself is never written.
+fn v1_fixture(name: &str) -> PathBuf {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v1-epoch");
+    let dir = scratch(name);
+    for epoch in fs::read_dir(&src).expect("fixture dir") {
+        let epoch = epoch.unwrap();
+        let dst = dir.join(epoch.file_name());
+        fs::create_dir_all(&dst).unwrap();
+        for file in fs::read_dir(epoch.path()).unwrap() {
+            let file = file.unwrap();
+            fs::copy(file.path(), dst.join(file.file_name())).unwrap();
+        }
+    }
+    dir
+}
+
+/// Total bytes of an epoch's shard files.
+fn shard_bytes(dir: &Path, epoch: u64) -> u64 {
+    fs::read_dir(dir.join(format!("epoch-{epoch:010}")))
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .filter(|e| e.file_name().to_string_lossy().starts_with("shard-"))
+        .map(|e| e.metadata().unwrap().len())
+        .sum()
+}
+
+/// A v1 epoch restores bit-identically to the same ingest replayed
+/// today, re-checkpoints as v2, and both restored engines keep
+/// tracking the original across promotions and morphs. Both formats
+/// decode to the same canonical states, so the v1 reader and the v2
+/// writer meet in the middle without loss.
 #[test]
-fn v1_and_v2_checkpoints_cross_restore_bit_identically() {
-    let dir_v1 = scratch("fmt-v1");
+fn v1_fixture_cross_restores_through_v2_bit_identically() {
+    let dir_v1 = v1_fixture("fmt-v1");
     let dir_v2 = scratch("fmt-v2");
     let mut original = engine(2);
     ingest_tier_mix(&mut original);
-    // The engine's epoch counter is shared across target directories,
-    // so capture each checkpoint's epoch number.
-    let e1 = original
-        .checkpoint_now(&config(&dir_v1).with_format(CheckpointFormat::V1Json))
-        .expect("v1 checkpoint");
-    let e2 = original
-        .checkpoint_now(&config(&dir_v2).with_format(CheckpointFormat::V2Binary))
-        .expect("v2 checkpoint");
     let want = estimate_bits(&original);
 
-    // The formats write what they claim: v1 JSON shards, v2 binary
-    // shards with the flow-block magic, and the v2 epoch is smaller.
-    let v1_shard =
-        fs::read(dir_v1.join(format!("epoch-{e1:010}/shard-0000.json"))).unwrap();
-    let v2_shard =
-        fs::read(dir_v2.join(format!("epoch-{e2:010}/shard-0000.bin"))).unwrap();
-    assert_eq!(v1_shard.first(), Some(&b'{'));
-    assert_eq!(&v2_shard[..4], b"SMB2");
-    let epoch_bytes = |dir: &Path, epoch: u64| -> u64 {
-        fs::read_dir(dir.join(format!("epoch-{epoch:010}")))
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().starts_with("shard-"))
-            .map(|e| e.metadata().unwrap().len())
-            .sum()
-    };
-    assert!(
-        epoch_bytes(&dir_v2, e2) * 2 <= epoch_bytes(&dir_v1, e1),
-        "v2 shards ({} B) should be at most half the v1 shards ({} B)",
-        epoch_bytes(&dir_v2, e2),
-        epoch_bytes(&dir_v1, e1)
-    );
-
     let (mut from_v1, r1) = ShardedFlowEngine::restore(&dir_v1).expect("restore v1");
-    let (mut from_v2, r2) = ShardedFlowEngine::restore(&dir_v2).expect("restore v2");
-    assert_eq!(r1.flows, r2.flows);
+    assert_eq!((r1.epoch, r1.flows, r1.checkpoint_shards), (0, 90, 2));
+    assert!(r1.skipped.is_empty());
     assert_eq!(estimate_bits(&from_v1), want, "v1 restore bit-identical");
-    assert_eq!(estimate_bits(&from_v2), want, "v2 restore bit-identical");
-    assert_eq!(tier_census(&from_v1), tier_census(&from_v2));
+    assert_eq!(tier_census(&from_v1), (60, 20, 10));
 
-    // Both restored engines keep tracking the original exactly across
-    // future promotions and morphs.
+    // Checkpoints are always written as v2: binary shards with the
+    // flow-block magic, at most half the v1 JSON size.
+    let e2 = from_v1.checkpoint_now(&config(&dir_v2)).expect("v2 checkpoint");
+    let v2_shard = fs::read(dir_v2.join(format!("epoch-{e2:010}/shard-0000.bin"))).unwrap();
+    assert_eq!(&v2_shard[..4], b"SMB2");
+    assert!(
+        shard_bytes(&dir_v2, e2) * 2 <= shard_bytes(&dir_v1, 0),
+        "v2 shards ({} B) should be at most half the v1 shards ({} B)",
+        shard_bytes(&dir_v2, e2),
+        shard_bytes(&dir_v1, 0)
+    );
+    let (mut from_v2, r2) = ShardedFlowEngine::restore(&dir_v2).expect("restore v2");
+    assert_eq!(r2.flows, r1.flows);
+    assert_eq!(estimate_bits(&from_v2), want, "v2 restore bit-identical");
+    assert_eq!(tier_census(&from_v2), tier_census(&from_v1));
+
     for target in [&mut original, &mut from_v1, &mut from_v2] {
         for f in 0..90u64 {
             for i in 0..40u32 {
@@ -417,6 +430,31 @@ fn v1_and_v2_checkpoints_cross_restore_bit_identically() {
     assert_eq!(estimate_bits(&from_v2), estimate_bits(&original));
     let _ = fs::remove_dir_all(&dir_v1);
     let _ = fs::remove_dir_all(&dir_v2);
+}
+
+/// An epoch history that mixes formats degrades across them: a torn
+/// v2 epoch written on top of the v1 fixture makes restore fall back
+/// to the v1 epoch, bit-identically.
+#[test]
+fn torn_v2_epoch_degrades_to_v1_epoch() {
+    let dir = v1_fixture("mixed-epochs");
+    let (mut restored, _) = ShardedFlowEngine::restore(&dir).expect("restore v1");
+    let want = estimate_bits(&restored);
+    ingest_range(&mut restored, 90, 0, 5_000);
+    restored.flush();
+    assert_eq!(restored.checkpoint_now(&config(&dir)).expect("v2 epoch"), 1);
+    drop(restored);
+
+    let victim = dir.join("epoch-0000000001").join("shard-0001.bin");
+    let bytes = fs::read(&victim).unwrap();
+    fs::write(&victim, &bytes[..bytes.len() / 2]).unwrap();
+    let (degraded, report) = ShardedFlowEngine::restore(&dir).expect("degrade to epoch 0");
+    assert_eq!(report.epoch, 0);
+    assert_eq!(report.skipped.len(), 1);
+    assert!(report.skipped[0].1.contains("torn shard file"), "{:?}", report.skipped);
+    assert_eq!(estimate_bits(&degraded), want);
+    assert_eq!(tier_census(&degraded), (60, 20, 10));
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -222,3 +222,42 @@ fn stats_report_shard_balance_and_occupancy() {
     let text = stats.to_string();
     assert!(text.contains("enqueued"), "{text}");
 }
+
+/// Reads are read-only: estimating an unmaterialized flow replays its
+/// stored hashes through a throwaway probe, and that probe must not
+/// report lifecycle events. With m=256 at the default n_max the
+/// threshold is T=14, so replaying a 16-hash array-tier flow morphs the
+/// probe — an observed probe would count one phantom morph per query.
+#[test]
+fn queries_emit_no_phantom_morph_events() {
+    use smb_engine::EngineQuery;
+    use smb_telemetry::FlightEventKind;
+
+    let spec = AlgoSpec::new(Algo::Smb).memory_bits(256).seed(9);
+    let mut engine =
+        ShardedFlowEngine::new(EngineConfig::new(spec).with_shards(1)).expect("valid config");
+    for i in 0..16u32 {
+        engine.ingest(7, &i.to_le_bytes());
+    }
+    engine.flush();
+    assert_eq!(engine.tier_stats().array, 1, "16 distinct items stay in the array tier");
+    let morphs = |engine: &ShardedFlowEngine| {
+        let counter = engine.metrics_snapshot().counter_total("smb_morph_events_total");
+        let flight = engine
+            .flight_recorder()
+            .expect("built via new()")
+            .recent(256)
+            .iter()
+            .filter(|e| e.kind == FlightEventKind::Morph)
+            .count();
+        (counter, flight)
+    };
+    let before = morphs(&engine);
+    let query = EngineQuery::new().with_estimate(7);
+    let estimate = engine.run_query(&query).estimate.expect("flow 7 is resident");
+    for _ in 0..99 {
+        assert_eq!(engine.run_query(&query).estimate, Some(estimate));
+    }
+    assert_eq!(engine.query(7), Some(estimate));
+    assert_eq!(morphs(&engine), before, "queries must not emit morph events");
+}

@@ -20,6 +20,13 @@
 //! * FM: `t = m/32`; HLL/HLL++/LogLog family: `t = m/5`;
 //!   HLL-TailCut: `t = m/4`; KMV/MinCount: `m/64` 64-bit slots.
 //!
+//! SMB's threshold search is numerical (tens of microseconds), and its
+//! result is the same for every estimator built from one spec. Callers
+//! that build many estimators from one spec — the engine, on every
+//! promotion, query probe and restored flow — [`AlgoSpec::resolve`] it
+//! once and build from the [`ResolvedSpec`], which costs only the
+//! estimator's allocation.
+//!
 //! Estimators come back as `Box<dyn CardinalityEstimator + Send>` so
 //! they can cross threads — which is what the sharded engine's workers
 //! need — while still coercing to a plain `Box<dyn CardinalityEstimator>`
@@ -49,8 +56,6 @@ use smb_hash::HashScheme;
 
 #[cfg(feature = "snapshot")]
 mod snapshot_impl;
-#[cfg(feature = "snapshot")]
-pub use snapshot_impl::restore_estimator;
 
 /// A heap-allocated estimator that may cross thread boundaries — the
 /// currency of [`build_estimator`] and of the engine's shard workers.
@@ -225,20 +230,6 @@ impl AlgoSpec {
         self
     }
 
-    /// Replace the expected maximum cardinality.
-    #[deprecated(note = "use the n_max(..) builder setter")]
-    #[doc(hidden)]
-    pub fn with_n_max(self, n_max: f64) -> Self {
-        self.n_max(n_max)
-    }
-
-    /// Replace the hash seed.
-    #[deprecated(note = "use the seed(..) builder setter")]
-    #[doc(hidden)]
-    pub fn with_seed(self, seed: u64) -> Self {
-        self.seed(seed)
-    }
-
     /// The hash scheme estimators built from this spec record under.
     /// Producers that pre-hash items (the sharded engine) must hash
     /// through exactly this scheme.
@@ -251,15 +242,84 @@ impl AlgoSpec {
         build_estimator(*self)
     }
 
-    /// Build the estimator with a lifecycle observer attached. See
-    /// [`build_estimator_observed`].
+    /// Build the estimator and attach `observer` to it, so lifecycle
+    /// events (SMB morphs, clears, saturation) flow out from the first
+    /// recorded item. Estimators that don't implement the hook simply
+    /// come back unobserved — `set_observer` is a default trait method
+    /// returning `false` — which is not an error.
+    ///
+    /// # Errors
+    /// Propagates the constructor's [`smb_core::Error`] exactly as
+    /// [`build_estimator`] does.
     pub fn build_observed(&self, observer: Option<ObserverHandle>) -> Result<DynEstimator> {
-        build_estimator_observed(*self, observer)
+        let mut estimator = self.build()?;
+        estimator.set_observer(observer);
+        Ok(estimator)
+    }
+
+    /// Validate the spec and compute its derived parameters (SMB's
+    /// threshold `T`) once, for callers that build many estimators
+    /// from it.
+    ///
+    /// ```
+    /// use smb_factory::{Algo, AlgoSpec};
+    ///
+    /// let resolved = AlgoSpec::new(Algo::Smb).memory_bits(4096).resolve().unwrap();
+    /// assert_eq!(resolved.build().memory_bits(), resolved.memory_bits());
+    /// assert!(AlgoSpec::new(Algo::Smb).memory_bits(1).resolve().is_err());
+    /// ```
+    ///
+    /// # Errors
+    /// Exactly when [`build_estimator`] fails for this spec.
+    pub fn resolve(&self) -> Result<ResolvedSpec> {
+        let smb_threshold = smb_threshold(*self)?;
+        let probe = construct(*self, smb_threshold)?;
+        Ok(ResolvedSpec {
+            spec: *self,
+            smb_threshold,
+            memory_bits: probe.memory_bits(),
+        })
     }
 }
 
-/// Build the estimator described by `spec` — the one
-/// match-on-algorithm in the workspace.
+/// An [`AlgoSpec`] that [`AlgoSpec::resolve`] has validated, with its
+/// derived parameters computed. Building from it never re-runs the
+/// threshold search and cannot fail.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ResolvedSpec {
+    spec: AlgoSpec,
+    /// SMB's morphing threshold `T`; unused by the other algorithms.
+    smb_threshold: usize,
+    /// What every estimator built from this spec reports as its
+    /// `memory_bits`.
+    memory_bits: usize,
+}
+
+impl ResolvedSpec {
+    /// The `memory_bits` of every estimator built from this spec.
+    pub fn memory_bits(&self) -> usize {
+        self.memory_bits
+    }
+
+    /// Build an empty estimator, identical to what
+    /// [`build_estimator`] returns for the spec.
+    pub fn build(&self) -> DynEstimator {
+        construct(self.spec, self.smb_threshold)
+            .expect("resolve already built an estimator from these parameters")
+    }
+
+    /// [`ResolvedSpec::build`] with `observer` attached (see
+    /// [`AlgoSpec::build_observed`]).
+    pub fn build_observed(&self, observer: Option<ObserverHandle>) -> DynEstimator {
+        let mut estimator = self.build();
+        estimator.set_observer(observer);
+        estimator
+    }
+}
+
+/// Build the estimator described by `spec`, running SMB's threshold
+/// search for this one call ([`AlgoSpec::resolve`] runs it once for
+/// many builds).
 ///
 /// ```
 /// use smb_factory::{build_estimator, Algo, AlgoSpec};
@@ -278,6 +338,35 @@ impl AlgoSpec {
 /// Propagates the constructor's [`smb_core::Error`] when the memory
 /// budget is out of the algorithm's valid range.
 pub fn build_estimator(spec: AlgoSpec) -> Result<DynEstimator> {
+    construct(spec, smb_threshold(spec)?)
+}
+
+/// SMB's threshold `T` for `spec` from the theory crate's β-maximising
+/// search; 0 for the other algorithms, which take no threshold.
+fn smb_threshold(spec: AlgoSpec) -> Result<usize> {
+    let AlgoSpec {
+        algo,
+        memory_bits: m,
+        n_max,
+        ..
+    } = spec;
+    if algo != Algo::Smb {
+        return Ok(0);
+    }
+    // Screen the budget before the threshold search, which asserts
+    // (rather than errors) on tiny `m`.
+    if m < 8 || !(n_max >= 1.0) {
+        return Err(smb_core::Error::invalid(
+            "memory_bits",
+            format!("SMB needs m ≥ 8 and n_max ≥ 1 (got m={m}, n_max={n_max})"),
+        ));
+    }
+    Ok(smb_theory::optimal_threshold(m, n_max).t)
+}
+
+/// The one match-on-algorithm: construct `spec`'s estimator, with SMB
+/// at threshold `smb_threshold`.
+fn construct(spec: AlgoSpec, smb_threshold: usize) -> Result<DynEstimator> {
     let AlgoSpec {
         algo,
         memory_bits: m,
@@ -286,18 +375,7 @@ pub fn build_estimator(spec: AlgoSpec) -> Result<DynEstimator> {
     } = spec;
     let scheme = HashScheme::with_seed(seed);
     Ok(match algo {
-        Algo::Smb => {
-            // Screen the budget before the theory crate's threshold
-            // search, which asserts (rather than errors) on tiny `m`.
-            if m < 8 || !(n_max >= 1.0) {
-                return Err(smb_core::Error::invalid(
-                    "memory_bits",
-                    format!("SMB needs m ≥ 8 and n_max ≥ 1 (got m={m}, n_max={n_max})"),
-                ));
-            }
-            let t = smb_theory::optimal_threshold(m, n_max).t;
-            Box::new(Smb::with_scheme(m, t, scheme)?)
-        }
+        Algo::Smb => Box::new(Smb::with_scheme(m, smb_threshold, scheme)?),
         Algo::Mrb => Box::new(Mrb::for_expected_cardinality(m, n_max, scheme)?),
         Algo::Fm => Box::new(Fm::with_memory_bits_scheme(m, scheme)?),
         Algo::HllPlusPlus => Box::new(HllPlusPlus::with_memory_bits(m, scheme)?),
@@ -310,26 +388,6 @@ pub fn build_estimator(spec: AlgoSpec) -> Result<DynEstimator> {
         Algo::MinCount => Box::new(MinCount::with_memory_bits(m, scheme)?),
         Algo::Bitmap => Box::new(Bitmap::with_scheme(m, scheme)?),
     })
-}
-
-/// Build the estimator described by `spec` and attach `observer` to
-/// it, so lifecycle events (SMB morphs, clears, saturation) flow out
-/// from the first recorded item. Estimators that don't implement the
-/// hook simply come back unobserved — `set_observer` is a default
-/// trait method returning `false` — which is not an error.
-///
-/// # Errors
-/// Propagates the constructor's [`smb_core::Error`] exactly as
-/// [`build_estimator`] does.
-pub fn build_estimator_observed(
-    spec: AlgoSpec,
-    observer: Option<ObserverHandle>,
-) -> Result<DynEstimator> {
-    let mut estimator = build_estimator(spec)?;
-    if let Some(observer) = observer {
-        estimator.set_observer(Some(observer));
-    }
-    Ok(estimator)
 }
 
 #[cfg(test)]
@@ -404,11 +462,19 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_with_setters_still_work_one_release() {
-        let old = AlgoSpec::new(Algo::Smb).with_n_max(1e5).with_seed(3);
-        let new = AlgoSpec::new(Algo::Smb).n_max(1e5).seed(3);
-        assert_eq!(old, new);
+    fn resolve_rejects_exactly_what_build_rejects() {
+        for algo in ALL_ALGOS {
+            for m in [0usize, 1, 7, 8, 64, 5000] {
+                let spec = AlgoSpec::new(algo).memory_bits(m).n_max(1e5);
+                assert_eq!(
+                    spec.resolve().is_ok(),
+                    spec.build().is_ok(),
+                    "{} at m={m}",
+                    algo.name()
+                );
+            }
+        }
+        assert!(AlgoSpec::new(Algo::Smb).n_max(0.5).resolve().is_err());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! `snapshot_state` is object-safe and therefore cannot name a concrete
 //! type; this module holds the matching concrete-type dispatch. The
 //! spec says *which* type to expect, the JSON says *what state* it was
-//! in, and [`restore_estimator`] marries the two with validation on
+//! in, and [`ResolvedSpec::restore`] marries the two with validation on
 //! both axes (each `Snapshot::from_json` re-checks its structural
 //! invariants; this layer re-checks the spec ↔ state agreement).
 
@@ -16,7 +16,7 @@ use smb_baselines::{
 use smb_core::{Bitmap, CardinalityEstimator, Error, Result, Smb};
 use smb_devtools::{Json, JsonError, Snapshot};
 
-use crate::{build_estimator, Algo, AlgoSpec, DynEstimator};
+use crate::{Algo, AlgoSpec, DynEstimator, ResolvedSpec};
 
 impl Snapshot for AlgoSpec {
     fn to_json(&self) -> Json {
@@ -45,73 +45,75 @@ impl Snapshot for AlgoSpec {
     }
 }
 
-/// Rebuild a live estimator from `spec` plus the JSON `state` its
-/// [`CardinalityEstimator::snapshot_state`] produced — the restore
-/// direction of the engine's checkpoint format.
-///
-/// The concrete type is chosen by `spec.algo`; the state's own
-/// structural invariants are validated by that type's
-/// `Snapshot::from_json`, and this function additionally rejects states
-/// that disagree with the spec (different hash scheme, or a memory
-/// footprint other than what building the spec fresh would produce) so
-/// a manifest paired with the wrong shard file cannot restore silently.
-///
-/// ```
-/// use smb_core::CardinalityEstimator;
-/// use smb_factory::{restore_estimator, Algo, AlgoSpec};
-///
-/// let spec = AlgoSpec::new(Algo::Smb).memory_bits(4096).seed(7);
-/// let mut live = spec.build().unwrap();
-/// for i in 0..5_000u32 {
-///     live.record(&i.to_le_bytes());
-/// }
-/// let state = live.snapshot_state().expect("factory estimators snapshot");
-/// let restored = restore_estimator(spec, &state).unwrap();
-/// assert_eq!(restored.estimate(), live.estimate());
-/// ```
-///
-/// # Errors
-/// [`Error::InvalidParameter`] when the state fails its type's
-/// invariant checks or does not match the spec.
-pub fn restore_estimator(spec: AlgoSpec, state: &Json) -> Result<DynEstimator> {
-    let invalid = |e: JsonError| Error::invalid("snapshot", e.to_string());
-    let restored: DynEstimator = match spec.algo {
-        Algo::Smb => Box::new(Smb::from_json(state).map_err(invalid)?),
-        Algo::Mrb => Box::new(Mrb::from_json(state).map_err(invalid)?),
-        Algo::Fm => Box::new(Fm::from_json(state).map_err(invalid)?),
-        Algo::HllPlusPlus => Box::new(HllPlusPlus::from_json(state).map_err(invalid)?),
-        Algo::TailCut => Box::new(HllTailCut::from_json(state).map_err(invalid)?),
-        Algo::Hll => Box::new(Hll::from_json(state).map_err(invalid)?),
-        Algo::LogLog => Box::new(LogLog::from_json(state).map_err(invalid)?),
-        Algo::SuperLogLog => Box::new(SuperLogLog::from_json(state).map_err(invalid)?),
-        Algo::Kmv => Box::new(Kmv::from_json(state).map_err(invalid)?),
-        Algo::Bjkst => Box::new(Bjkst::from_json(state).map_err(invalid)?),
-        Algo::MinCount => Box::new(MinCount::from_json(state).map_err(invalid)?),
-        Algo::Bitmap => Box::new(Bitmap::from_json(state).map_err(invalid)?),
-    };
-    if restored.scheme() != spec.scheme() {
-        return Err(Error::invalid(
-            "snapshot",
-            format!(
-                "restored {} state hashes under a different scheme than the spec (seed {})",
-                spec.algo.name(),
-                spec.seed
-            ),
-        ));
+impl ResolvedSpec {
+    /// Rebuild a live estimator from the JSON `state` its
+    /// [`CardinalityEstimator::snapshot_state`] produced — the restore
+    /// direction of the engine's checkpoint format.
+    ///
+    /// The concrete type is chosen by the spec's algorithm; the state's
+    /// own structural invariants are validated by that type's
+    /// `Snapshot::from_json`, and this method additionally rejects
+    /// states that disagree with the spec (different hash scheme, or a
+    /// memory footprint other than what the spec builds) so a manifest
+    /// paired with the wrong shard file cannot restore silently.
+    ///
+    /// ```
+    /// use smb_core::CardinalityEstimator;
+    /// use smb_factory::{Algo, AlgoSpec};
+    ///
+    /// let spec = AlgoSpec::new(Algo::Smb).memory_bits(4096).seed(7).resolve().unwrap();
+    /// let mut live = spec.build();
+    /// for i in 0..5_000u32 {
+    ///     live.record(&i.to_le_bytes());
+    /// }
+    /// let state = live.snapshot_state().expect("factory estimators snapshot");
+    /// let restored = spec.restore(&state).unwrap();
+    /// assert_eq!(restored.estimate(), live.estimate());
+    /// ```
+    ///
+    /// # Errors
+    /// [`Error::InvalidParameter`] when the state fails its type's
+    /// invariant checks or does not match the spec.
+    pub fn restore(&self, state: &Json) -> Result<DynEstimator> {
+        let spec = self.spec;
+        let invalid = |e: JsonError| Error::invalid("snapshot", e.to_string());
+        let restored: DynEstimator = match spec.algo {
+            Algo::Smb => Box::new(Smb::from_json(state).map_err(invalid)?),
+            Algo::Mrb => Box::new(Mrb::from_json(state).map_err(invalid)?),
+            Algo::Fm => Box::new(Fm::from_json(state).map_err(invalid)?),
+            Algo::HllPlusPlus => Box::new(HllPlusPlus::from_json(state).map_err(invalid)?),
+            Algo::TailCut => Box::new(HllTailCut::from_json(state).map_err(invalid)?),
+            Algo::Hll => Box::new(Hll::from_json(state).map_err(invalid)?),
+            Algo::LogLog => Box::new(LogLog::from_json(state).map_err(invalid)?),
+            Algo::SuperLogLog => Box::new(SuperLogLog::from_json(state).map_err(invalid)?),
+            Algo::Kmv => Box::new(Kmv::from_json(state).map_err(invalid)?),
+            Algo::Bjkst => Box::new(Bjkst::from_json(state).map_err(invalid)?),
+            Algo::MinCount => Box::new(MinCount::from_json(state).map_err(invalid)?),
+            Algo::Bitmap => Box::new(Bitmap::from_json(state).map_err(invalid)?),
+        };
+        if restored.scheme() != spec.scheme() {
+            return Err(Error::invalid(
+                "snapshot",
+                format!(
+                    "restored {} state hashes under a different scheme than the spec (seed {})",
+                    spec.algo.name(),
+                    spec.seed
+                ),
+            ));
+        }
+        if restored.memory_bits() != self.memory_bits {
+            return Err(Error::invalid(
+                "snapshot",
+                format!(
+                    "restored {} state occupies {} bits but the spec builds {} bits",
+                    spec.algo.name(),
+                    restored.memory_bits(),
+                    self.memory_bits
+                ),
+            ));
+        }
+        Ok(restored)
     }
-    let expected_bits = build_estimator(spec)?.memory_bits();
-    if restored.memory_bits() != expected_bits {
-        return Err(Error::invalid(
-            "snapshot",
-            format!(
-                "restored {} state occupies {} bits but the spec builds {} bits",
-                spec.algo.name(),
-                restored.memory_bits(),
-                expected_bits
-            ),
-        ));
-    }
-    Ok(restored)
 }
 
 #[cfg(test)]
@@ -139,7 +141,7 @@ mod tests {
             let state = live.snapshot_state().unwrap_or_else(|| {
                 panic!("{}: factory estimator must snapshot", algo.name())
             });
-            let mut restored = restore_estimator(spec, &state).expect("restore");
+            let mut restored = spec.resolve().unwrap().restore(&state).expect("restore");
             assert_eq!(
                 restored.estimate().to_bits(),
                 live.estimate().to_bits(),
@@ -165,7 +167,7 @@ mod tests {
         let spec = AlgoSpec::new(Algo::Smb).memory_bits(4096).seed(1);
         let state = spec.build().unwrap().snapshot_state().unwrap();
         let wrong = spec.seed(2);
-        assert!(restore_estimator(wrong, &state).is_err());
+        assert!(wrong.resolve().unwrap().restore(&state).is_err());
     }
 
     #[test]
@@ -173,13 +175,35 @@ mod tests {
         let spec = AlgoSpec::new(Algo::Bitmap).memory_bits(4096);
         let state = spec.build().unwrap().snapshot_state().unwrap();
         let wrong = AlgoSpec::new(Algo::Bitmap).memory_bits(8192);
-        assert!(restore_estimator(wrong, &state).is_err());
+        assert!(wrong.resolve().unwrap().restore(&state).is_err());
     }
 
     #[test]
     fn garbage_state_is_an_error_not_a_panic() {
         let spec = AlgoSpec::new(Algo::Hll).memory_bits(4096);
-        assert!(restore_estimator(spec, &Json::Null).is_err());
-        assert!(restore_estimator(spec, &Json::Obj(vec![])).is_err());
+        let spec = spec.resolve().unwrap();
+        assert!(spec.restore(&Json::Null).is_err());
+        assert!(spec.restore(&Json::Obj(vec![])).is_err());
+    }
+
+    #[test]
+    fn resolved_builds_snapshot_identically_to_build_estimator() {
+        for algo in ALL_ALGOS {
+            let spec = AlgoSpec::new(algo).memory_bits(5000).n_max(1e5).seed(11);
+            let resolved = spec.resolve().expect("valid spec");
+            let mut a = resolved.build();
+            let mut b = crate::build_estimator(spec).expect("valid spec");
+            assert_eq!(a.memory_bits(), resolved.memory_bits(), "{}", algo.name());
+            for i in 0..20_000u32 {
+                a.record(&i.to_le_bytes());
+                b.record(&i.to_le_bytes());
+            }
+            assert_eq!(
+                a.snapshot_state().map(|j| j.to_string()),
+                b.snapshot_state().map(|j| j.to_string()),
+                "{}: resolved build diverged from build_estimator",
+                algo.name()
+            );
+        }
     }
 }

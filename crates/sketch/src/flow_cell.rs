@@ -25,9 +25,10 @@
 //! of its behaviour from the 64-bit [`ItemHash`] (equal raws are
 //! indistinguishable downstream) and the estimator trait contract
 //! makes duplicate records state-neutral. Estimates from unmaterialized
-//! tiers replay the stored hashes through a fresh factory-built probe,
-//! so *every* observable of a tiered cell is bit-identical to the
-//! untiered path at every point in the flow's life.
+//! tiers replay the stored hashes through a fresh, unobserved
+//! factory-built probe, so every estimate of a tiered cell is
+//! bit-identical to the untiered path at every point in the flow's
+//! life.
 
 use smb_core::CardinalityEstimator;
 use smb_hash::ItemHash;
@@ -264,13 +265,17 @@ impl<E: CardinalityEstimator> FlowCell<E> {
     /// The cell's cardinality estimate — bit-identical to the untiered
     /// path. Materialized cells answer directly; small tiers build a
     /// probe with `make`, replay their stored hashes and read its
-    /// estimate (the exact state the untiered path would hold).
+    /// estimate (the exact state the untiered path would hold). The
+    /// probe's observer is detached before the replay: a read must not
+    /// report lifecycle events (a replay that crosses the threshold
+    /// would otherwise emit a morph per query).
     pub fn estimate(&self, make: impl FnOnce() -> E) -> f64 {
         match self {
             FlowCell::Full(est) => est.estimate(),
             _ => {
                 let pending = self.pending_hashes().expect("unmaterialized cell");
                 let mut probe = make();
+                probe.set_observer(None);
                 record_raw_hashes(&mut probe, pending);
                 probe.estimate()
             }
@@ -278,10 +283,9 @@ impl<E: CardinalityEstimator> FlowCell<E> {
     }
 
     /// Force-materialize and mutably borrow the estimator, replaying
-    /// any stored hashes through `make`'s product first. Supports the
-    /// deprecated `estimator_mut` access path; tier-aware callers
-    /// should record through the cell instead and leave tiny flows
-    /// unmaterialized.
+    /// any stored hashes through `make`'s product first. Eager tables
+    /// record through this; tier-aware callers record through the cell
+    /// instead and leave tiny flows unmaterialized.
     pub fn force_estimator(&mut self, make: impl FnOnce() -> E) -> &mut E {
         if let Some(pending) = self.pending_hashes() {
             let mut est = make();
@@ -299,7 +303,8 @@ impl<E: CardinalityEstimator> FlowCell<E> {
         }
     }
 
-    /// Consume the cell into a materialized estimator (drain path).
+    /// Consume the cell into a materialized estimator (the table's
+    /// `insert`/`remove` hand-back).
     pub fn into_estimator(mut self, make: impl FnOnce() -> E) -> E {
         self.force_estimator(make);
         match self {

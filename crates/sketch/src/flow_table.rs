@@ -394,33 +394,6 @@ impl<E: CardinalityEstimator, F: Fn(u64) -> E> FlowTable<E, F> {
         self.probe_slots = slots;
     }
 
-    /// Mutably borrow `flow`'s estimator, creating it on first sight.
-    ///
-    /// This force-materializes the flow (replaying any tiered hashes
-    /// exactly), which defeats the point of tiering for tiny flows —
-    /// record through the table or the [`FlowStore`] seam instead.
-    #[deprecated(
-        note = "record through the table or the FlowStore trait; \
-                direct estimator access force-materializes the flow"
-    )]
-    #[doc(hidden)]
-    pub fn estimator_mut(&mut self, flow: u64) -> &mut E {
-        let FlowTable {
-            flows,
-            factory,
-            stats,
-            ..
-        } = self;
-        let cell = flows.get_or_insert_with(flow, |f| {
-            stats.inc(Tier::Full);
-            FlowCell::from_estimator(factory(f))
-        });
-        let before = cell.tier();
-        let est = cell.force_estimator(|| factory(flow));
-        stats.transition(before, Tier::Full);
-        est
-    }
-
     /// Estimate the cardinality of `flow`; `None` if never seen.
     /// Bit-identical across modes: unmaterialized cells replay their
     /// stored hashes through a factory-built probe.
@@ -488,17 +461,6 @@ impl<E: CardinalityEstimator, F: Fn(u64) -> E> FlowTable<E, F> {
         self.flows.iter()
     }
 
-    /// Iterate `(flow, estimator)` pairs for **materialized** flows
-    /// only — inline-tier flows are skipped. Eager tables materialize
-    /// everything, so there this is the old full view.
-    #[deprecated(note = "use cells(); this view skips unmaterialized flows")]
-    #[doc(hidden)]
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &E)> {
-        self.flows
-            .iter()
-            .filter_map(|(flow, cell)| cell.estimator().map(|est| (flow, est)))
-    }
-
     /// Remove and return every `(flow, cell)` pair, leaving the table
     /// empty but reusable (the factory is retained). Promotion
     /// counters survive; tier occupancy resets.
@@ -506,20 +468,6 @@ impl<E: CardinalityEstimator, F: Fn(u64) -> E> FlowTable<E, F> {
         let out: Vec<_> = self.flows.drain().collect();
         self.stats.reset_counts();
         out
-    }
-
-    /// Drain the table, materializing every flow's estimator on the
-    /// way out.
-    #[deprecated(
-        note = "use drain_cells(); materializing every flow defeats tiering"
-    )]
-    #[doc(hidden)]
-    pub fn drain(&mut self) -> impl Iterator<Item = (u64, E)> + '_ {
-        let cells = self.drain_cells();
-        let factory = &self.factory;
-        cells
-            .into_iter()
-            .map(move |(flow, cell)| (flow, cell.into_estimator(|| factory(flow))))
     }
 
     /// Iterate `(flow, estimate)` pairs. Estimates from inline tiers
@@ -1005,24 +953,5 @@ mod tests {
         // The factory survives a drain: the table is still usable.
         t.record(9, b"c");
         assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_work_one_release() {
-        // estimator_mut / iter / drain are shimmed for one release so
-        // external callers migrate cleanly; pin their behavior.
-        let mut t = tiered_table();
-        let scheme = HashScheme::with_seed(5);
-        t.record_hash(3, scheme.item_hash(b"x"));
-        let before = t.estimate(3).unwrap();
-        // Force-materialization must not change the estimate.
-        let est = t.estimator_mut(3);
-        assert_eq!(est.estimate(), before);
-        assert_eq!(t.cell(3).unwrap().estimator().map(|e| e.estimate()), Some(before));
-        assert_eq!(t.iter().count(), 1);
-        let drained: Vec<(u64, Smb)> = t.drain().collect();
-        assert_eq!(drained.len(), 1);
-        assert_eq!(drained[0].1.estimate(), before);
     }
 }

@@ -314,6 +314,12 @@ impl FlightRecorder {
     /// writers are recording: slots caught mid-write are skipped (the
     /// seqlock validation), so the result may be shorter than `n` even
     /// with `n ≤ len()`, but never contains a torn event.
+    ///
+    /// "Oldest first" is by [`FlightEvent::at_ns`]. A writer stamps its
+    /// event before it takes a ticket, so two racing writers can hold
+    /// tickets in the opposite order of their stamps; the window is
+    /// sorted by stamp (stably, so ties keep ticket order, as do all
+    /// events of one thread).
     pub fn recent(&self, n: usize) -> Vec<FlightEvent> {
         let cap = self.slots.len() as u64;
         let head = self.head.load(Ordering::Acquire);
@@ -349,6 +355,7 @@ impl FlightRecorder {
             });
         }
         out.reverse();
+        out.sort_by_key(|e| e.at_ns);
         out
     }
 

@@ -62,15 +62,20 @@ cargo test -q --offline -p smb-sketch --test tiering
 cargo test -q --offline -p smb-sketch --features snapshot --test tiering
 
 step "concurrency stress suites (offline): seeded schedules, reproducible"
-# The lock-free ConcurrentSmb/AtomicBitVec path is gated by the seeded
-# stress! harness: two pinned seeds replay fixed regression schedules
-# on every run, and one clock-derived seed makes each verify run
-# explore a fresh interleaving. Any failure prints the reproducing
-# SMB_STRESS_SEED, so a red clock-seed run is directly replayable.
+# The concurrency the system has is gated by the seeded stress!
+# harness: cloned EngineProducers ingesting while QueryHandle readers
+# race them (estimates must end bit-identical to sequential
+# recording), and FlightRecorder writers lapping a racing reader.
+# Two pinned seeds replay fixed regression schedules on every run, and
+# one clock-derived seed makes each verify run explore a fresh
+# interleaving. Any failure prints the reproducing SMB_STRESS_SEED, so
+# a red clock-seed run is directly replayable.
+flight_stress=flight::tests::concurrent_writers_and_reader_never_tear_events
 for seed in 0x51B0 0xC0FFEE "$(date +%s)"; do
     echo "-- stress schedules with SMB_STRESS_SEED=$seed"
-    SMB_STRESS_SEED="$seed" cargo test -q --offline -p smb-core \
-        --test concurrent_differential --test atomic_bits_prop
+    SMB_STRESS_SEED="$seed" cargo test -q --offline -p smb-engine --test concurrency
+    SMB_STRESS_SEED="$seed" cargo test -q --offline -p smb-telemetry --lib -- \
+        --exact "$flight_stress"
 done
 # The harness's own self-tests (seed derivation, failure reporting)
 # run unpinned so the reproduce-line machinery itself stays covered.
@@ -79,18 +84,21 @@ echo "ok: stress suites green under 2 pinned seeds + 1 clock seed"
 
 step "thread sanitizer pass (nightly-only, degrades to SKIP)"
 # TSan needs -Zsanitizer=thread, a nightly toolchain, and the rust-src
-# component for -Zbuild-std. The container image is stable-only and
-# offline, so this degrades to a visible SKIP rather than a silent
-# pass; the seeded stress suites above remain the required gate.
+# component for -Zbuild-std. Where those are absent this degrades to
+# a visible SKIP rather than a silent pass; the seeded stress suites
+# above remain the required gate.
 if command -v rustup >/dev/null 2>&1 \
     && rustup toolchain list 2>/dev/null | grep -q nightly \
     && rustup component list --toolchain nightly 2>/dev/null | grep -q "rust-src (installed)"; then
     RUSTFLAGS="-Zsanitizer=thread" cargo +nightly test -q --offline \
         -Zbuild-std --target x86_64-unknown-linux-gnu \
-        -p smb-core --test concurrent_differential --test atomic_bits_prop
+        -p smb-engine --test concurrency
+    RUSTFLAGS="-Zsanitizer=thread" cargo +nightly test -q --offline \
+        -Zbuild-std --target x86_64-unknown-linux-gnu \
+        -p smb-telemetry --lib -- --exact "$flight_stress"
     echo "ok: ThreadSanitizer pass clean"
 else
-    echo "SKIP: nightly toolchain (or rust-src) absent — ThreadSanitizer not run; seeded stress suites above still gate the CAS protocol"
+    echo "SKIP: nightly toolchain (or rust-src) absent — ThreadSanitizer not run; seeded stress suites above still gate producer/reader and flight-recorder concurrency"
 fi
 
 step "telemetry tests (offline): metrics, morph events, exposition round-trip"
@@ -101,36 +109,44 @@ step "rustdoc (offline, warnings are errors) + doc tests"
 RUSTDOCFLAGS="-Dwarnings" cargo doc --no-deps --workspace --offline
 cargo test --doc --workspace -q --offline
 
-step "checkpoint/restore smoke (offline): serve --checkpoint-dir, crash, restore"
-# Epoch 0 is written in the v1 JSON format, epoch 1 in the default v2
-# flow-block format — so tearing the newest (v2) epoch makes restore
+step "checkpoint/restore smoke (offline): v1 fixture epoch, v2 epoch on top, torn newest epoch"
+# Nothing writes the v1 JSON shard format any more, but v1 epochs
+# still restore. A copy of the committed v1 fixture (epoch 0: 2 shards,
+# small/array/full cells) gets a v2 epoch written on top by
+# `serve --checkpoint-dir`; tearing that newest epoch must make restore
 # degrade across formats onto the v1 shards, exercising both decoders
 # and the cross-format epoch sequence in one pass.
 ckpt_dir="$(mktemp -d)/smb-ckpt"
 trace_file="$(mktemp)"
+mkdir -p "$ckpt_dir"
+cp -r crates/engine/tests/fixtures/v1-epoch/. "$ckpt_dir"/
+fixture_out="$(cargo run -q --offline -p smb-cli --bin smbcount -- restore --dir "$ckpt_dir" --top 5)"
+grep -qF "restored     : epoch 0" <<<"$fixture_out" || {
+    echo "FAIL: the v1 fixture epoch did not restore:" >&2
+    echo "$fixture_out" >&2
+    exit 1
+}
+# serve continues the epoch sequence from disk: its final checkpoint
+# is epoch 1, written as v2 (.bin) shards.
 cargo run -q --offline -p smb-cli --bin smbcount -- trace --flows 200 --seed 7 >"$trace_file"
 serve_out="$(
     cargo run -q --offline -p smb-cli --bin smbcount -- \
-        serve --shards 2 --top 5 --checkpoint-dir "$ckpt_dir" --checkpoint-format v1 <"$trace_file"
+        serve --shards 2 --top 5 --checkpoint-dir "$ckpt_dir" <"$trace_file"
 )"
-grep -qF "checkpoint   : epoch 0" <<<"$serve_out" || {
-    echo "FAIL: serve did not report its final checkpoint epoch:" >&2
+grep -qF "checkpoint   : epoch 1" <<<"$serve_out" || {
+    echo "FAIL: serve did not report epoch 1 as its final checkpoint:" >&2
     echo "$serve_out" >&2
     exit 1
 }
-# Second run continues the epoch sequence from disk, then a torn
-# shard file in the newest epoch must degrade restore to epoch 0.
-cargo run -q --offline -p smb-cli --bin smbcount -- \
-    serve --shards 2 --checkpoint-dir "$ckpt_dir" <"$trace_file" >/dev/null
 ls "$ckpt_dir"/epoch-0000000001/shard-0001.bin >/dev/null || {
-    echo "FAIL: second serve run did not write v2 (.bin) shards by default" >&2
+    echo "FAIL: serve did not write v2 (.bin) shards" >&2
     ls -R "$ckpt_dir" >&2
     exit 1
 }
 truncate -s 16 "$ckpt_dir"/epoch-0000000001/shard-0001.bin
 restore_out="$(cargo run -q --offline -p smb-cli --bin smbcount -- restore --dir "$ckpt_dir" --top 5)"
 for needle in "restored     : epoch 0" \
-              "flows        : 200" \
+              "flows        : 90" \
               "torn shard file"; do
     if ! grep -qF "$needle" <<<"$restore_out"; then
         echo "FAIL: restore output is missing: $needle" >&2
@@ -138,15 +154,15 @@ for needle in "restored     : epoch 0" \
         exit 1
     fi
 done
-# The recovered estimates are the serve run's estimates, verbatim.
+# The degraded restore answers with the v1 epoch's estimates, verbatim.
 while IFS= read -r line; do
     if ! grep -qF "$line" <<<"$restore_out"; then
-        echo "FAIL: restored estimates differ from the serve report: $line" >&2
+        echo "FAIL: degraded restore differs from the v1 fixture: $line" >&2
         exit 1
     fi
-done < <(grep -P '^[0-9a-f]{16}\t' <<<"$serve_out")
+done < <(grep -P '^[0-9a-f]{16}\t' <<<"$fixture_out")
 rm -rf "$(dirname "$ckpt_dir")" "$trace_file"
-echo "ok: torn newest epoch degraded to epoch 0 with bit-identical estimates"
+echo "ok: torn v2 epoch degraded to the v1 fixture epoch with bit-identical estimates"
 
 step "network serve smoke (offline): TCP loopback, scripted client, bit-identical top-k"
 # A serve --listen server on an ephemeral port must report exactly the
@@ -354,16 +370,16 @@ for p in (1, 2, 4):
     print(f"mpsc_items_per_sec_producers_{p}: {ips:,.0f} items/s")
     if not ips > 0:
         raise SystemExit(f"FAIL: mpsc sweep produced a non-positive rate for {p} producers")
-# Checkpoint compression gate: the v2 flow-block format must at least
-# halve the shard bytes of the v1 JSON format on the 100k-flow Zipf
-# state (byte counts are deterministic, so this is a hard gate, not a
-# timing floor). Snapshot codec throughput just has to exist and be
+# Checkpoint compression gate: the v2 flow-block shards must at least
+# halve the JSON text of the same [flow, state] pairs on the 100k-flow
+# Zipf state (byte counts are deterministic, so this is a hard gate,
+# not a timing floor). Snapshot codec throughput just has to exist and be
 # positive — it is wall-clock and host-dependent.
 for suffix in ("1k", "100k"):
     j = extra[f"checkpoint_json_bytes_per_flow_{suffix}"]
     v = extra[f"checkpoint_v2_bytes_per_flow_{suffix}"]
     r = extra[f"checkpoint_v2_over_json_{suffix}"]
-    print(f"checkpoint bytes/flow at {suffix}: v1 JSON {j:.1f} B vs v2 {v:.1f} B => {r:.3f}x")
+    print(f"checkpoint bytes/flow at {suffix}: JSON {j:.1f} B vs v2 {v:.1f} B => {r:.3f}x")
 ratio = extra["checkpoint_v2_over_json_100k"]
 if not ratio <= 0.5:
     raise SystemExit(f"FAIL: v2 checkpoint is {ratio:.3f}x of JSON at 100k flows — gate is <= 0.5x")
